@@ -21,13 +21,16 @@ use snowboard::pmc::identify;
 use snowboard::profile::profile_corpus;
 use snowboard::select::ClusterOrder;
 
-/// Trials to expose bug #12 with a given scheduler factory, averaged over
-/// seeds. Returns (average trials, hits).
-fn expose_12(
+/// Trials to expose bug #12, averaged over seeds. Each seed gets one
+/// scheduler from `for_seed`, and `begin_trial(sched, seed, trial)` resets
+/// it before every trial, so Snowboard keeps its `flags` across trials.
+/// Returns (average trials, hits).
+fn expose_12<S: Scheduler>(
     booted: &sb_kernel::BootedKernel,
-    make: &mut dyn FnMut(u64) -> Box<dyn FnMut(u64) -> Box<dyn Scheduler>>,
     seeds: u64,
     cap: u32,
+    mut for_seed: impl FnMut(u64) -> S,
+    mut begin_trial: impl FnMut(&mut S, u64, u64),
 ) -> (f64, u64) {
     let writer = Program::new(vec![
         Syscall::Socket { domain: Domain::L2tp },
@@ -42,17 +45,17 @@ fn expose_12(
     let mut total = 0u64;
     let mut hits = 0u64;
     for seed in 0..seeds {
-        let mut per_trial = make(seed);
+        let mut sched = for_seed(seed);
         let mut exposed = None;
         for trial in 0..cap {
-            let mut sched = per_trial(u64::from(trial));
+            begin_trial(&mut sched, seed, u64::from(trial));
             let r = exec.run(
                 booted.snapshot.clone(),
                 vec![
                     booted.kernel.process_job(writer.clone()),
                     booted.kernel.process_job(reader.clone()),
                 ],
-                sched.as_mut(),
+                &mut sched,
             );
             if sb_detect::analyze(&r.report)
                 .iter()
@@ -99,50 +102,54 @@ fn main() {
     let mut rows = Vec::new();
     {
         // Full Algorithm 2.
-        let mut make = |seed: u64| -> Box<dyn FnMut(u64) -> Box<dyn Scheduler>> {
-            let sched = std::rc::Rc::new(std::cell::RefCell::new(SnowboardSched::new(seed, hints)));
-            Box::new(move |trial| {
-                sched.borrow_mut().begin_trial(trial);
-                Box::new(SharedSched(std::rc::Rc::clone(&sched)))
-            })
-        };
-        let (avg, hits) = expose_12(&booted, &mut make, seeds, cap);
+        let (avg, hits) = expose_12(
+            &booted,
+            seeds,
+            cap,
+            |seed| SnowboardSched::new(seed, hints),
+            |s, _, trial| s.begin_trial(trial),
+        );
         rows.push(vec!["Snowboard (full)".into(), format!("{avg:.1}"), format!("{hits}/{seeds}")]);
     }
     {
-        let mut make = |seed: u64| -> Box<dyn FnMut(u64) -> Box<dyn Scheduler>> {
-            let sched = std::rc::Rc::new(std::cell::RefCell::new(
-                SnowboardSched::without_flag_learning(seed, hints),
-            ));
-            Box::new(move |trial| {
-                sched.borrow_mut().begin_trial(trial);
-                Box::new(SharedSched(std::rc::Rc::clone(&sched)))
-            })
-        };
-        let (avg, hits) = expose_12(&booted, &mut make, seeds, cap);
+        let (avg, hits) = expose_12(
+            &booted,
+            seeds,
+            cap,
+            |seed| SnowboardSched::without_flag_learning(seed, hints),
+            |s, _, trial| s.begin_trial(trial),
+        );
         rows.push(vec!["Snowboard w/o flags".into(), format!("{avg:.1}"), format!("{hits}/{seeds}")]);
     }
     {
         let sites: Vec<_> = hints.iter().map(|h| h.site).collect();
-        let mut make = |seed: u64| -> Box<dyn FnMut(u64) -> Box<dyn Scheduler>> {
-            let sites = sites.clone();
-            Box::new(move |trial| Box::new(SkiSched::new(seed ^ trial, sites.clone())))
-        };
-        let (avg, hits) = expose_12(&booted, &mut make, seeds, cap);
+        let (avg, hits) = expose_12(
+            &booted,
+            seeds,
+            cap,
+            |seed| SkiSched::new(seed, sites.clone()),
+            |s, seed, trial| s.begin_trial(seed ^ trial),
+        );
         rows.push(vec!["SKI (site-only)".into(), format!("{avg:.1}"), format!("{hits}/{seeds}")]);
     }
     {
-        let mut make = |seed: u64| -> Box<dyn FnMut(u64) -> Box<dyn Scheduler>> {
-            Box::new(move |trial| Box::new(PctSched::new(seed ^ (trial << 17), 300, 3)))
-        };
-        let (avg, hits) = expose_12(&booted, &mut make, seeds, cap);
+        let (avg, hits) = expose_12(
+            &booted,
+            seeds,
+            cap,
+            |seed| PctSched::new(seed, 300, 3),
+            |s, seed, trial| s.begin_trial(seed ^ (trial << 17), 300, 3),
+        );
         rows.push(vec!["PCT (d=3)".into(), format!("{avg:.1}"), format!("{hits}/{seeds}")]);
     }
     {
-        let mut make = |seed: u64| -> Box<dyn FnMut(u64) -> Box<dyn Scheduler>> {
-            Box::new(move |trial| Box::new(RandomSched::new(seed ^ (trial << 13), 0.005)))
-        };
-        let (avg, hits) = expose_12(&booted, &mut make, seeds, cap);
+        let (avg, hits) = expose_12(
+            &booted,
+            seeds,
+            cap,
+            |seed| RandomSched::new(seed, 0.005),
+            |s, seed, trial| *s = RandomSched::new(seed ^ (trial << 13), 0.005),
+        );
         rows.push(vec!["Random (unguided)".into(), format!("{avg:.1}"), format!("{hits}/{seeds}")]);
     }
     print_table(&["Scheduler", "Avg trials to #12", "Exposed"], &rows);
@@ -177,20 +184,4 @@ fn main() {
         ]);
     }
     print_table(&["Variant", "Bugs found", "Mean days-to-find"], &rows);
-}
-
-/// Adapter so one persistent scheduler (keeping `flags` across trials) can
-/// be handed to the executor per trial.
-struct SharedSched(std::rc::Rc<std::cell::RefCell<SnowboardSched>>);
-
-impl Scheduler for SharedSched {
-    fn after_access(&mut self, t: usize, access: &sb_vmm::Access) -> bool {
-        self.0.borrow_mut().after_access(t, access)
-    }
-    fn pick(&mut self, prev: usize, candidates: &[usize]) -> usize {
-        self.0.borrow_mut().pick(prev, candidates)
-    }
-    fn on_forced_switch(&mut self, t: usize) {
-        self.0.borrow_mut().on_forced_switch(t)
-    }
 }

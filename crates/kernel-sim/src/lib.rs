@@ -144,7 +144,7 @@ impl Symbols {
 /// kernel metadata.
 pub struct Env<'a> {
     /// The vCPU the handler runs on.
-    pub ctx: &'a Ctx,
+    pub ctx: &'a Ctx<'a>,
     /// The kernel symbol table.
     pub syms: &'a Symbols,
     /// The build configuration.

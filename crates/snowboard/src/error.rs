@@ -36,7 +36,7 @@ pub enum Error {
         /// Size of the corpus it was resolved against.
         corpus: usize,
     },
-    /// The execution machinery failed (dead vCPU worker, bad job shape).
+    /// The execution machinery refused a run (bad job shape).
     Exec {
         /// The underlying executor error.
         source: ExecError,
@@ -309,7 +309,7 @@ mod tests {
         assert!(Error::WorkerPanic { message: "x".into() }.is_retryable());
         assert!(Error::Injected { attempt: 0 }.is_retryable());
         assert!(Error::Exec {
-            source: ExecError::WorkerUnavailable { vcpu: 1 }
+            source: ExecError::BadJobCount { jobs: 3, vcpus: 2 }
         }
         .is_retryable());
         assert!(!Error::EmptyPmc { pmc: 3 }.is_retryable());

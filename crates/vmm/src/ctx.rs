@@ -2,14 +2,13 @@
 //!
 //! Kernel subsystems are written as ordinary Rust against [`Ctx`]: every
 //! memory access, lock operation, RCU primitive, allocation, and console
-//! write is a *request* sent to the execution coordinator, which performs it
-//! on the guest state, records it, and decides — via the active scheduler —
-//! which thread runs next. Because the coordinator owns all shared state and
-//! serializes every request, the whole engine is safe Rust with no shared
-//! mutable memory between worker threads.
+//! write is a method call that the calling vCPU performs itself, inline, on
+//! the run's machine state while it holds the baton (see [`crate::exec`]).
+//! After the operation the active scheduler decides which thread runs
+//! next; the call returns when this thread holds the baton again. The
+//! machine state sits behind one mutex, so the whole engine is safe Rust.
 
-use std::sync::mpsc::{Receiver, Sender};
-
+use crate::exec::{Baton, RunState};
 use crate::mem::stack_base;
 use crate::site::Site;
 use crate::AccessKind;
@@ -42,8 +41,8 @@ pub enum Fault {
     Oom,
     /// The kernel invoked [`Ctx::oops`] (explicit `BUG()`/panic).
     Oops,
-    /// The coordinator is tearing the execution down (panic elsewhere,
-    /// deadlock, livelock, or executor shutdown); unwind immediately.
+    /// The execution is being torn down (kernel panic elsewhere, deadlock,
+    /// livelock, or a Rust panic on another vCPU); unwind immediately.
     Aborted,
     /// Lock protocol violation (e.g. unlocking a lock the thread holds not).
     LockError {
@@ -70,79 +69,15 @@ impl Fault {
 /// Result type used throughout the simulated kernel.
 pub type KResult<T> = Result<T, Fault>;
 
-/// Requests a worker thread sends to the coordinator.
-#[derive(Debug)]
-pub(crate) enum Request {
-    /// Perform a memory access.
-    Access {
-        site: Site,
-        kind: AccessKind,
-        addr: u64,
-        len: u8,
-        /// Value to store for writes; ignored for reads.
-        value: u64,
-        /// Marked (READ_ONCE/WRITE_ONCE-style) access.
-        atomic: bool,
-    },
-    /// Acquire the lock cell at `addr` (blocking); `site` names the
-    /// acquiring program point for the sync-event stream.
-    Lock { addr: u64, site: Site },
-    /// Release the lock cell at `addr`.
-    Unlock { addr: u64, site: Site },
-    /// Register on wait queue `queue` (`prepare_to_wait`): wakeups are
-    /// banked from now until the matching commit or cancel.
-    WaitPrepare { queue: u64, site: Site },
-    /// Commit to sleeping on `queue` for at most `timeout` coordinator
-    /// steps. Replies `Value(1)` when woken, `Value(0)` on timeout, and
-    /// immediately when a banked wakeup is pending.
-    WaitCommit { queue: u64, site: Site, timeout: u64 },
-    /// Deregister from `queue` without sleeping (`finish_wait`).
-    WaitCancel { queue: u64, site: Site },
-    /// Wake sleepers on `queue`: one (`all == false`) or every one.
-    Wake { queue: u64, site: Site, all: bool },
-    /// Enter atomic (non-sleepable) context.
-    AtomicEnter { site: Site },
-    /// Leave atomic context.
-    AtomicExit { site: Site },
-    /// Enter an RCU read-side critical section.
-    RcuLock,
-    /// Leave an RCU read-side critical section.
-    RcuUnlock,
-    /// Wait for an RCU grace period (all current readers done).
-    SyncRcu,
-    /// Allocate `len` bytes of guest heap.
-    Alloc { len: u64 },
-    /// Free a previous allocation.
-    Free { addr: u64, len: u64 },
-    /// Append a line to the kernel console.
-    Printk { msg: String },
-    /// Kernel panic with a console message; aborts the execution.
-    Oops { msg: String },
-    /// The thread's job finished with the given result.
-    Done { result: Result<(), Fault> },
-}
-
-/// Coordinator replies to worker requests.
-#[derive(Debug)]
-pub(crate) enum Reply {
-    /// Value result (reads, allocations).
-    Value(u64),
-    /// Success without a value.
-    Unit,
-    /// The request faulted.
-    Fault(Fault),
-}
-
-/// Per-thread handle to the coordinator; the "CPU" kernel code runs on.
-pub struct Ctx {
+/// Per-thread handle to the machine; the "CPU" kernel code runs on.
+pub struct Ctx<'r> {
     tid: usize,
-    req: Sender<Request>,
-    rep: Receiver<Reply>,
+    run: &'r dyn Baton,
 }
 
-impl Ctx {
-    pub(crate) fn new(tid: usize, req: Sender<Request>, rep: Receiver<Reply>) -> Self {
-        Ctx { tid, req, rep }
+impl<'r> Ctx<'r> {
+    pub(crate) fn new(tid: usize, run: &'r dyn Baton) -> Self {
+        Ctx { tid, run }
     }
 
     /// The simulated vCPU / kernel-thread index this context runs on.
@@ -158,67 +93,52 @@ impl Ctx {
         stack_base(self.tid) + 16 + slot * 8
     }
 
-    fn roundtrip(&self, req: Request) -> KResult<u64> {
-        if self.req.send(req).is_err() {
-            return Err(Fault::Aborted);
-        }
-        match self.rep.recv() {
-            Ok(Reply::Value(v)) => Ok(v),
-            Ok(Reply::Unit) => Ok(0),
-            Ok(Reply::Fault(f)) => Err(f),
-            Err(_) => Err(Fault::Aborted),
-        }
+    /// Performs one operation that may block this thread (`None`).
+    fn step(
+        &self,
+        mut op: impl FnMut(&mut RunState<'_>, usize) -> Option<KResult<u64>>,
+    ) -> KResult<u64> {
+        self.run.step(self.tid, &mut op)
+    }
+
+    /// Performs one operation that never blocks.
+    fn op(&self, mut op: impl FnMut(&mut RunState<'_>, usize) -> KResult<u64>) -> KResult<u64> {
+        self.step(|st, t| Some(op(st, t)))
+    }
+
+    fn access(
+        &self,
+        site: Site,
+        kind: AccessKind,
+        addr: u64,
+        len: u8,
+        value: u64,
+        atomic: bool,
+    ) -> KResult<u64> {
+        self.op(|st, t| st.access(t, site, kind, addr, len, value, atomic))
     }
 
     /// Reads `len` bytes (1..=8) at `addr`, little-endian.
     pub fn read(&self, site: Site, addr: u64, len: u8) -> KResult<u64> {
-        self.roundtrip(Request::Access {
-            site,
-            kind: AccessKind::Read,
-            addr,
-            len,
-            value: 0,
-            atomic: false,
-        })
+        self.access(site, AccessKind::Read, addr, len, 0, false)
     }
 
     /// Writes the low `len` bytes of `value` at `addr`, little-endian.
     pub fn write(&self, site: Site, addr: u64, len: u8, value: u64) -> KResult<()> {
-        self.roundtrip(Request::Access {
-            site,
-            kind: AccessKind::Write,
-            addr,
-            len,
-            value,
-            atomic: false,
-        })
-        .map(|_| ())
+        self.access(site, AccessKind::Write, addr, len, value, false)
+            .map(drop)
     }
 
     /// Marked load (`READ_ONCE`); exempt from data-race reports when paired
     /// with another marked access.
     pub fn read_atomic(&self, site: Site, addr: u64, len: u8) -> KResult<u64> {
-        self.roundtrip(Request::Access {
-            site,
-            kind: AccessKind::Read,
-            addr,
-            len,
-            value: 0,
-            atomic: true,
-        })
+        self.access(site, AccessKind::Read, addr, len, 0, true)
     }
 
     /// Marked store (`WRITE_ONCE`).
     pub fn write_atomic(&self, site: Site, addr: u64, len: u8, value: u64) -> KResult<()> {
-        self.roundtrip(Request::Access {
-            site,
-            kind: AccessKind::Write,
-            addr,
-            len,
-            value,
-            atomic: true,
-        })
-        .map(|_| ())
+        self.access(site, AccessKind::Write, addr, len, value, true)
+            .map(drop)
     }
 
     /// Reads a u8 at `addr`.
@@ -275,12 +195,12 @@ impl Ctx {
 
     /// [`Ctx::lock`] with a named acquiring site for the sync-event stream.
     pub fn lock_at(&self, site: Site, addr: u64) -> KResult<()> {
-        self.roundtrip(Request::Lock { addr, site }).map(|_| ())
+        self.step(|st, t| st.lock(t, site, addr)).map(drop)
     }
 
     /// [`Ctx::unlock`] with a named releasing site.
     pub fn unlock_at(&self, site: Site, addr: u64) -> KResult<()> {
-        self.roundtrip(Request::Unlock { addr, site }).map(|_| ())
+        self.op(|st, t| st.unlock(t, site, addr)).map(drop)
     }
 
     /// Runs `f` with the lock at `addr` held, releasing it afterwards even if
@@ -314,21 +234,21 @@ impl Ctx {
     /// satisfies the commit immediately — the correct check-then-sleep
     /// protocol.
     pub fn wait_prepare(&self, site: Site, queue: u64) -> KResult<()> {
-        self.roundtrip(Request::WaitPrepare { queue, site }).map(|_| ())
+        self.op(|st, t| st.wait_prepare(t, site, queue)).map(drop)
     }
 
-    /// Commits to sleeping on `queue` for at most `timeout` coordinator
+    /// Commits to sleeping on `queue` for at most `timeout` executor
     /// steps. Returns `true` when woken by a signal (banked or live),
     /// `false` when the timeout expired first.
     pub fn wait_commit(&self, site: Site, queue: u64, timeout: u64) -> KResult<bool> {
-        self.roundtrip(Request::WaitCommit { queue, site, timeout })
+        self.step(|st, t| st.wait_commit(t, site, queue, timeout))
             .map(|v| v != 0)
     }
 
     /// Deregisters from `queue` without sleeping (`finish_wait`), dropping
     /// any banked wakeup.
     pub fn wait_cancel(&self, site: Site, queue: u64) -> KResult<()> {
-        self.roundtrip(Request::WaitCancel { queue, site }).map(|_| ())
+        self.op(|st, t| st.wait_cancel(t, site, queue)).map(drop)
     }
 
     /// Sleeps on `queue` *without* registering first — the racy
@@ -342,72 +262,67 @@ impl Ctx {
     /// Wakes at most one thread sleeping on (or prepared for) `queue`.
     /// Returns how many threads the signal reached; zero means it was lost.
     pub fn wake_one(&self, site: Site, queue: u64) -> KResult<u64> {
-        self.roundtrip(Request::Wake { queue, site, all: false })
+        self.op(|st, t| st.wake(t, site, queue, false))
     }
 
     /// Wakes every thread sleeping on (or prepared for) `queue`, returning
     /// the delivery count.
     pub fn wake_all(&self, site: Site, queue: u64) -> KResult<u64> {
-        self.roundtrip(Request::Wake { queue, site, all: true })
+        self.op(|st, t| st.wake(t, site, queue, true))
     }
 
     /// Enters atomic (non-sleepable) context — the simulated equivalent of
     /// holding a spinlock with preemption disabled. Nests.
     pub fn atomic_enter(&self, site: Site) -> KResult<()> {
-        self.roundtrip(Request::AtomicEnter { site }).map(|_| ())
+        self.op(|st, t| st.atomic_enter(t, site)).map(drop)
     }
 
     /// Leaves atomic context. Faults with a lock error when the thread is
     /// not in atomic context.
     pub fn atomic_exit(&self, site: Site) -> KResult<()> {
-        self.roundtrip(Request::AtomicExit { site }).map(|_| ())
+        self.op(|st, t| st.atomic_exit(t, site)).map(drop)
     }
 
     /// Enters an RCU read-side critical section.
     pub fn rcu_read_lock(&self) -> KResult<()> {
-        self.roundtrip(Request::RcuLock).map(|_| ())
+        self.op(|st, t| st.rcu_lock(t)).map(drop)
     }
 
     /// Leaves an RCU read-side critical section.
     pub fn rcu_read_unlock(&self) -> KResult<()> {
-        self.roundtrip(Request::RcuUnlock).map(|_| ())
+        self.op(|st, t| st.rcu_unlock(t)).map(drop)
     }
 
     /// Waits for an RCU grace period: blocks until no other thread is inside
     /// an RCU read-side critical section.
     pub fn synchronize_rcu(&self) -> KResult<()> {
-        self.roundtrip(Request::SyncRcu).map(|_| ())
+        self.step(|st, t| st.sync_rcu(t)).map(drop)
     }
 
     /// Allocates `len` bytes of zeroed guest heap (kzalloc semantics).
     pub fn kmalloc(&self, len: u64) -> KResult<u64> {
-        self.roundtrip(Request::Alloc { len })
+        self.op(|st, _| st.kmalloc(len))
     }
 
     /// Frees an allocation of `len` bytes at `addr`.
     pub fn kfree(&self, addr: u64, len: u64) -> KResult<()> {
-        self.roundtrip(Request::Free { addr, len }).map(|_| ())
+        self.op(|st, _| st.kfree(addr, len)).map(drop)
     }
 
     /// Appends a line to the kernel console (printk).
     pub fn printk(&self, msg: impl Into<String>) -> KResult<()> {
-        self.roundtrip(Request::Printk { msg: msg.into() }).map(|_| ())
-    }
-
-    /// Reports the thread's job result to the coordinator (worker-loop use).
-    pub(crate) fn send_done(&self, result: Result<(), Fault>) -> Result<(), ()> {
-        self.req
-            .send(Request::Done { result })
-            .map_err(|_| ())
+        let mut msg = msg.into();
+        self.op(|st, _| st.printk(std::mem::take(&mut msg))).map(drop)
     }
 
     /// Kernel panic: records `msg` on the console, marks the execution as
     /// panicked, and returns the fault the caller should propagate.
     pub fn oops(&self, msg: impl Into<String>) -> Fault {
-        match self.roundtrip(Request::Oops { msg: msg.into() }) {
+        let mut msg = msg.into();
+        match self.op(|st, _| st.oops(std::mem::take(&mut msg))) {
             Err(f) => f,
-            // The coordinator always replies with a fault to an oops; treat
-            // an unexpected success as an abort to keep unwinding.
+            // An oops always faults; treat an unexpected success as an
+            // abort to keep unwinding.
             Ok(_) => Fault::Aborted,
         }
     }

@@ -1,6 +1,6 @@
 //! Interleaving schedulers.
 //!
-//! The coordinator consults a [`Scheduler`] after every memory access; the
+//! The executor consults a [`Scheduler`] after every memory access; the
 //! scheduler answers "should the running thread be preempted here?" and, on
 //! preemption, which thread runs next. Four schedulers are provided:
 //!
@@ -77,7 +77,7 @@ pub enum SchedDecision {
         /// True if a hint (not a blind coin flip or change point) drove it.
         hinted: bool,
     },
-    /// The coordinator force-switched a stuck thread (liveness).
+    /// The executor force-switched a stuck thread (liveness).
     Forced {
         /// Thread that was force-switched.
         thread: usize,
@@ -110,8 +110,12 @@ fn notify(observer: &Option<Arc<dyn DecisionObserver>>, d: SchedDecision) {
     }
 }
 
-/// Decides interleavings. Called by the execution coordinator.
-pub trait Scheduler {
+/// Decides interleavings.
+///
+/// The executor calls it inline on whichever vCPU thread holds the baton,
+/// so one run's callbacks may come from several OS threads (one at a
+/// time); hence `Send`.
+pub trait Scheduler: Send {
     /// Invoked after thread `t` completed `access`. Return true to preempt.
     fn after_access(&mut self, t: usize, access: &Access) -> bool {
         let _ = (t, access);
@@ -307,7 +311,7 @@ impl Scheduler for PctSched {
     }
 
     fn pick(&mut self, prev: usize, candidates: &[usize]) -> usize {
-        // The coordinator never calls `pick` with an empty candidate set;
+        // The executor never calls `pick` with an empty candidate set;
         // stay on `prev` rather than panicking if a custom harness does.
         let to = candidates
             .iter()

@@ -1,6 +1,6 @@
 //! First-class synchronization events.
 //!
-//! Alongside the [`Access`](crate::access::Access) stream the coordinator
+//! Alongside the [`Access`](crate::access::Access) stream the executor
 //! records a second, much sparser stream of *synchronization events*: lock
 //! acquire/release with lock identity, RCU enter/exit, wait-queue
 //! prepare/commit/cancel/timeout, wakeups (with delivery counts), and
@@ -44,11 +44,11 @@ pub enum SyncKind {
     AtomicExit,
 }
 
-/// One synchronization event, recorded by the execution coordinator in
+/// One synchronization event, recorded by the executor in
 /// global order alongside the access trace.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct SyncEvent {
-    /// Coordinator step counter at record time: orders sync events against
+    /// Executor step counter at record time: orders sync events against
     /// each other and (approximately) against the access stream.
     pub seq: u64,
     /// The thread the event belongs to.

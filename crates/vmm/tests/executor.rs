@@ -1,5 +1,9 @@
-//! End-to-end tests of the execution coordinator: scheduling, locks, RCU,
-//! faults, liveness, and determinism.
+//! End-to-end tests of the executor: scheduling, locks, RCU, faults,
+//! liveness, determinism, and where (and whether) vCPU threads run.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
 
 use sb_vmm::ctx::KResult;
 use sb_vmm::exec::{ExecLimits, Executor, Outcome};
@@ -449,4 +453,112 @@ fn double_unlock_is_a_lock_error() {
         r.report.thread_faults[0],
         Some(Fault::LockError { .. })
     ));
+}
+
+/// Switches after every access, always to another thread when one is ready.
+struct PingPong;
+
+impl Scheduler for PingPong {
+    fn after_access(&mut self, _t: usize, _a: &sb_vmm::Access) -> bool {
+        true
+    }
+    fn pick(&mut self, prev: usize, c: &[usize]) -> usize {
+        *c.iter().find(|t| **t != prev).unwrap_or(&c[0])
+    }
+}
+
+/// Two jobs that finish cleanly, for a follow-up run.
+fn two_quiet_jobs(cell: u64) -> Vec<BoxedJob> {
+    vec![
+        Box::new(move |ctx: &Ctx| ctx.write_u64(site!("quiet:w"), cell, 1)),
+        Box::new(move |ctx: &Ctx| ctx.read_u64(site!("quiet:r"), cell).map(drop)),
+    ]
+}
+
+#[test]
+fn job_panic_reaches_the_caller_and_the_executor_stays_usable() {
+    let (mem, cell) = mem_with_cell();
+    let mut exec = Executor::new(2);
+    // vCPU 0 parks after its first access; vCPU 1 then panics while vCPU 0
+    // is still parked. The run must neither hang nor report success.
+    let jobs: Vec<BoxedJob> = vec![
+        Box::new(move |ctx: &Ctx| {
+            for _ in 0..100 {
+                ctx.read_u64(site!("panic:parked"), cell)?;
+            }
+            Ok(())
+        }),
+        Box::new(move |ctx: &Ctx| {
+            ctx.write_u64(site!("panic:w"), cell, 1)?;
+            panic!("simulated harness bug");
+        }),
+    ];
+    let caught = catch_unwind(AssertUnwindSafe(|| exec.try_run(mem, jobs, &mut PingPong)));
+    let payload = caught.err().expect("the job's panic must reach the caller");
+    assert_eq!(payload.downcast_ref::<&str>(), Some(&"simulated harness bug"));
+
+    let (mem, cell) = mem_with_cell();
+    let r = exec
+        .try_run(mem, two_quiet_jobs(cell), &mut PingPong)
+        .expect("the executor must stay usable after a panicking run");
+    assert_eq!(r.report.outcome, Outcome::Completed);
+    assert_eq!(r.report.thread_faults, vec![None, None]);
+}
+
+#[test]
+fn scheduler_panic_reaches_the_caller() {
+    struct Broken;
+    impl Scheduler for Broken {
+        fn after_access(&mut self, _t: usize, _a: &sb_vmm::Access) -> bool {
+            true
+        }
+        fn pick(&mut self, _prev: usize, _c: &[usize]) -> usize {
+            panic!("broken scheduler");
+        }
+    }
+    let (mem, cell) = mem_with_cell();
+    let mut exec = Executor::new(2);
+    let caught = catch_unwind(AssertUnwindSafe(|| {
+        exec.try_run(mem, two_quiet_jobs(cell), &mut Broken)
+    }));
+    let payload = caught.err().expect("the scheduler's panic must reach the caller");
+    assert_eq!(payload.downcast_ref::<&str>(), Some(&"broken scheduler"));
+    let (mem, cell) = mem_with_cell();
+    let r = exec.run(mem, two_quiet_jobs(cell), &mut FreeRun);
+    assert_eq!(r.report.outcome, Outcome::Completed);
+}
+
+/// A job that records the OS thread it ran on.
+fn thread_probe(seen: &Arc<Mutex<Vec<(usize, ThreadId)>>>, cell: u64) -> BoxedJob {
+    let seen = Arc::clone(seen);
+    Box::new(move |ctx: &Ctx| {
+        seen.lock().unwrap().push((ctx.tid(), std::thread::current().id()));
+        ctx.read_u64(site!("probe:r"), cell).map(drop)
+    })
+}
+
+#[test]
+fn single_job_runs_on_the_callers_thread() {
+    // Boot, corpus fuzzing and profiling are single-job runs: they must not
+    // hand off to any other OS thread.
+    let (mem, cell) = mem_with_cell();
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let mut exec = Executor::new(2);
+    exec.run(mem, vec![thread_probe(&seen, cell)], &mut FreeRun);
+    let caller = std::thread::current().id();
+    assert_eq!(*seen.lock().unwrap(), vec![(0, caller)]);
+
+    // With two jobs, vCPU 0 still runs on the caller and vCPU 1 elsewhere.
+    let (mem, cell) = mem_with_cell();
+    seen.lock().unwrap().clear();
+    exec.run(
+        mem,
+        vec![thread_probe(&seen, cell), thread_probe(&seen, cell)],
+        &mut PingPong,
+    );
+    let seen = seen.lock().unwrap();
+    assert_eq!(seen.len(), 2);
+    for (tid, thread) in seen.iter() {
+        assert_eq!(*tid == 0, *thread == caller, "vCPU {tid} ran on the wrong thread");
+    }
 }
