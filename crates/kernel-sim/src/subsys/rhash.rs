@@ -24,9 +24,10 @@ use crate::{Env, ENOENT};
 /// Number of buckets in the table.
 pub const NUM_BUCKETS: u64 = 4;
 
-/// `struct msg_queue` field offsets. The object is a full slab page with the
-/// key deep inside, so a null object pointer faults *beyond* the first page
-/// — producing the page-fault (not null-dereference) console of Table 2 #1.
+/// `struct msg_queue` field offsets. The object spans two slab pages with
+/// the key deep inside, past the first page, so a null object pointer faults
+/// *beyond* the first page — producing the page-fault (not null-dereference)
+/// console of Table 2 #1.
 pub mod msq {
     /// Chain next pointer (8 bytes).
     pub const NEXT: u64 = 0;
@@ -36,8 +37,9 @@ pub mod msq {
     pub const QNUM: u64 = 12;
     /// IPC key (u64) — deliberately at a large offset (`ht->p.key_offset`).
     pub const KEY: u64 = 0x1100;
-    /// Allocation size.
-    pub const SIZE: u64 = 4096;
+    /// Allocation size: large enough to hold `KEY`, so the key is not
+    /// stored in (and zeroed or overwritten by) the next allocation.
+    pub const SIZE: u64 = 0x2000;
 }
 
 /// Boots the table: `NUM_BUCKETS` bucket words plus the table lock.
@@ -114,7 +116,7 @@ pub fn msgget(env: &Env<'_>, key: u64) -> KResult<u64> {
     Ok(m)
 }
 
-/// Message-ring layout inside the msq page.
+/// Message-ring layout inside the msq object.
 pub mod ring {
     /// First slot (8 slots × 8 bytes: mtype u32 + value u32).
     pub const SLOTS: u64 = 16;

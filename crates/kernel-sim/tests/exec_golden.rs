@@ -433,21 +433,21 @@ const GOLDEN: &[(&str, usize, u64)] = &[
     ("synthetic/3-job", 210, 0x1c126ea95bc534d9),
     ("synthetic-tight/3-job", 60, 0xe92639782fc012ea),
     ("5.12-rc3/free/1-job", 19, 0x6b0ca61aa7820540),
-    ("5.12-rc3/free/2-job", 6, 0x6c7ab4aa99d03fc7),
-    ("5.12-rc3/random/2-job", 24, 0x5ee50bdb216c7581),
-    ("5.12-rc3/ski/2-job", 36, 0x7411b48112d49d15),
-    ("5.12-rc3/snowboard/2-job", 36, 0x6a04912b9b6caaef),
-    ("5.12-rc3/pct/2-job", 36, 0x9a60f2a0468e50cf),
+    ("5.12-rc3/free/2-job", 6, 0xa80a229af3c8ea3f),
+    ("5.12-rc3/random/2-job", 24, 0xc3a153749a4ecf97),
+    ("5.12-rc3/ski/2-job", 36, 0x22298ee6f68444db),
+    ("5.12-rc3/snowboard/2-job", 36, 0x55fcf1b60adc78a3),
+    ("5.12-rc3/pct/2-job", 36, 0x35ce62b376a35739),
     ("5.12-rc3/replay/2-job", 6, 0x3601bdaf3e5608a1),
-    ("5.12-rc3/mixed/3-job", 18, 0xdfe51bade3f61a33),
+    ("5.12-rc3/mixed/3-job", 18, 0x0a3a846a20d915de),
     ("5.3.10/free/1-job", 19, 0x4b6575b43e804780),
-    ("5.3.10/free/2-job", 6, 0xca3d8c020c3b811f),
-    ("5.3.10/random/2-job", 24, 0x0874ea03edcda625),
-    ("5.3.10/ski/2-job", 36, 0x1667296f8503c5a2),
-    ("5.3.10/snowboard/2-job", 36, 0xef6adf2ccf09fa86),
-    ("5.3.10/pct/2-job", 36, 0x3840835108c55f43),
+    ("5.3.10/free/2-job", 6, 0xde881a70512eafbb),
+    ("5.3.10/random/2-job", 24, 0x5e0b1c9d541e783b),
+    ("5.3.10/ski/2-job", 36, 0x8ced273a64b8f1ec),
+    ("5.3.10/snowboard/2-job", 36, 0xba9d8c211ee3114e),
+    ("5.3.10/pct/2-job", 36, 0xed51fc41566d5491),
     ("5.3.10/replay/2-job", 6, 0xbc6686a689a767e0),
-    ("5.3.10/mixed/3-job", 18, 0xd3ad0f50ecc95185),
+    ("5.3.10/mixed/3-job", 18, 0xf68cb905e035fbb2),
 ];
 
 #[test]

@@ -80,7 +80,7 @@ pub fn is_stack_addr(addr: u64) -> bool {
 
 /// The allocator size classes, in bytes. Allocations round up to the nearest
 /// class; larger requests fail with [`Fault::Oom`].
-const SIZE_CLASSES: [u64; 8] = [8, 16, 32, 64, 128, 256, 1024, 4096];
+const SIZE_CLASSES: [u64; 9] = [8, 16, 32, 64, 128, 256, 1024, 4096, 8192];
 
 /// One copy-on-write page.
 type Page = Box<[u8; PAGE_SIZE as usize]>;
