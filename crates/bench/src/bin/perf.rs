@@ -103,9 +103,9 @@ fn main() {
     println!(
         "\nPaper: Snowboard 193.8 vs SKI 170.3 executions/minute, attributed to SKI's extra \
          vCPU switches (it yields at PMC instructions regardless of memory target). In this \
-         substrate a vCPU switch is nearly free, so the effect shows as the switch-count \
-         column: SKI switches substantially more per execution than Snowboard, which \
-         reschedules only on precise PMC accesses. Total experiment time: {:.1?}",
+         substrate a vCPU switch is an OS-thread handoff, the largest per-execution cost, \
+         so throughput follows the switch-count column rather than the step count. Total \
+         experiment time: {:.1?}",
         t_all.elapsed()
     );
 }

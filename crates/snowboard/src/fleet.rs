@@ -1845,7 +1845,7 @@ fn session_loop(
         }
         summary.redelivered += 1;
     }
-    let mut slot: Option<Executor> = None;
+    let mut exec = Executor::new(2);
     loop {
         if jcfg.stop_file.as_deref().is_some_and(Path::exists) {
             return SessionEnd::Stopped;
@@ -1912,7 +1912,7 @@ fn session_loop(
                         }
                     }
                     let verdict = run_one_job(
-                        &mut slot,
+                        &mut exec,
                         job,
                         id,
                         &work.booted,

@@ -730,7 +730,7 @@ pub fn run_worker_shard(
     job_cfg.tracer = sb_obs::Tracer::disabled();
 
     let index = IncidentalIndex::build(set);
-    let mut slot: Option<Executor> = None;
+    let mut exec = Executor::new(2);
     let mut completed = 0usize;
     let mut stopped = false;
     // Satellite 2's worker-side flush guard: every result line is already
@@ -760,7 +760,7 @@ pub fn run_worker_shard(
                     std::thread::sleep(Duration::from_secs(3600));
                 }
             }
-            match run_one_job(&mut slot, *job, *id, booted, corpus, set, &index, &job_cfg) {
+            match run_one_job(&mut exec, *job, *id, booted, corpus, set, &index, &job_cfg) {
                 JobVerdict::Completed(outcome) => emit(&WorkerMsg::Done { job: *job, outcome }),
                 JobVerdict::Quarantined(record) => emit(&WorkerMsg::Quarantine { record }),
             }

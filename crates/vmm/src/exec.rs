@@ -74,7 +74,7 @@ impl std::fmt::Display for ExecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ExecError::BadJobCount { jobs, vcpus } => {
-                write!(f, "bad job count: {jobs} jobs for {vcpus} pooled vCPUs")
+                write!(f, "bad job count: {jobs} jobs for {vcpus} vCPUs")
             }
         }
     }
@@ -323,6 +323,10 @@ impl Executor {
 }
 
 impl<'s> Run<'s> {
+    /// Locks the machine state. A poisoned lock is recovered: the panic that
+    /// poisoned it is caught in [`Run::vcpu`], recorded in `panic` and
+    /// re-raised on the caller, and the run's state is discarded, so a
+    /// half-applied operation is never reported.
     fn lock(&self) -> MutexGuard<'_, RunState<'s>> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }

@@ -18,9 +18,10 @@
 //!   identification consume.
 //! * [`ctx`] — the handle kernel code uses to touch guest memory, locks, RCU,
 //!   and the console.
-//! * [`exec`] — the coordinator that serializes thread execution, manages the
-//!   lock table and RCU grace periods, detects deadlocks and livelocks, and
-//!   produces an [`exec::ExecReport`].
+//! * [`exec`] — the baton-passing executor: exactly one vCPU runs at a
+//!   time and performs its own operations inline; it manages the lock table
+//!   and RCU grace periods, detects deadlocks and livelocks, and produces an
+//!   [`exec::ExecReport`].
 //! * [`rng`] — the workspace's seeded pseudo-random generator and mixers.
 //! * [`sched`] — schedulers: free-run, random-walk, SKI-style, and the
 //!   Snowboard scheduler implementing the paper's Algorithm 2.
