@@ -57,10 +57,7 @@ fn main() {
             &p.corpus,
             snowboard::baseline::Pairing::Duplicate,
             scale.max_tested / 4,
-            scale.trials / 4,
-            5,
-            scale.workers,
-            true,
+            &scale.baseline_cfg(5),
         );
         for id in base.bug_ids() {
             found

@@ -78,6 +78,16 @@ impl Scale {
             ..CampaignCfg::default()
         }
     }
+
+    /// The configuration the Random/Duplicate pairing baselines run with:
+    /// [`Scale::campaign_cfg`] at a quarter of the trials per test.
+    pub fn baseline_cfg(&self, seed: u64) -> CampaignCfg {
+        CampaignCfg {
+            trials_per_pmc: self.trials / 4,
+            oracles: snowboard::OracleSet::race_only(),
+            ..self.campaign_cfg(seed)
+        }
+    }
 }
 
 /// Prepares a pipeline for one kernel version at the given scale.

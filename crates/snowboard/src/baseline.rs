@@ -11,7 +11,7 @@ use sb_vmm::rng::Rng;
 use sb_vmm::sched::RandomSched;
 use sb_vmm::Executor;
 
-use crate::campaign::{aggregate, CampaignReport, PmcTestOutcome};
+use crate::campaign::{aggregate, CampaignCfg, CampaignReport, PmcTestOutcome};
 
 /// The two baseline pairing policies.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -31,20 +31,18 @@ impl std::fmt::Display for Pairing {
     }
 }
 
-/// Runs `n_tests` baseline concurrent tests with `trials` interleavings
-/// each.
-#[allow(clippy::too_many_arguments)]
+/// Runs `n_tests` baseline concurrent tests. The seed, trials per test,
+/// workers, stop-on-finding, oracles and tracer come from `cfg`: the
+/// configuration of the campaign the baseline is compared with.
 pub fn run_baseline(
     booted: &BootedKernel,
     corpus: &[Program],
     pairing: Pairing,
     n_tests: usize,
-    trials: u32,
-    seed: u64,
-    workers: usize,
-    stop_on_finding: bool,
+    cfg: &CampaignCfg,
 ) -> CampaignReport {
     assert!(!corpus.is_empty(), "baseline needs a corpus");
+    let (seed, trials, stop_on_finding) = (cfg.seed, cfg.trials_per_pmc, cfg.stop_on_finding);
     let mut rng = Rng::seed_from_u64(seed);
     let pairs: Vec<(u32, u32)> = (0..n_tests)
         .map(|_| {
@@ -58,7 +56,7 @@ pub fn run_baseline(
         .collect();
     let outcomes: Vec<PmcTestOutcome> = sb_queue::run_jobs(
         pairs.into_iter().enumerate().collect(),
-        workers,
+        cfg.workers,
         || Executor::new(2),
         |exec, (i, pair)| {
             let test_seed = seed.wrapping_add((i as u64).wrapping_mul(0xA24B_AED4_963E_E407));

@@ -21,6 +21,7 @@ use sb_vmm::rng::Rng;
 use sb_vmm::sched::SnowboardSched;
 use sb_vmm::Executor;
 
+use crate::campaign::CampaignCfg;
 use crate::error::{Error, SbResult};
 use crate::pmc::{PmcId, PmcSet};
 
@@ -79,8 +80,8 @@ pub struct TripleOutcome {
 }
 
 /// Executes one writer + two readers under Algorithm 2 with the union of
-/// both PMCs' hints.
-#[allow(clippy::too_many_arguments)]
+/// both PMCs' hints. Trials, stop-on-finding, oracles and tracer come from
+/// `cfg`.
 pub fn test_triple(
     exec: &mut Executor,
     booted: &BootedKernel,
@@ -88,8 +89,7 @@ pub fn test_triple(
     set: &PmcSet,
     triple: TriplePmc,
     seed: u64,
-    trials: u32,
-    stop_on_finding: bool,
+    cfg: &CampaignCfg,
 ) -> SbResult<TripleOutcome> {
     test_triple_traced(
         exec,
@@ -98,9 +98,9 @@ pub fn test_triple(
         set,
         triple,
         seed,
-        trials,
-        stop_on_finding,
-        &sb_obs::Tracer::disabled(),
+        cfg.trials_per_pmc,
+        cfg.stop_on_finding,
+        &cfg.tracer,
     )
 }
 

@@ -149,10 +149,20 @@ fn campaign_repro_schedules_replay_their_findings() {
 #[test]
 fn baselines_find_the_easy_race_only_mostly() {
     let p = Pipeline::prepare(KernelConfig::v5_12_rc3(), small_cfg());
+    let cfg = CampaignCfg {
+        seed: 3,
+        trials_per_pmc: 4,
+        workers: 4,
+        stop_on_finding: true,
+        oracles: snowboard::OracleSet::race_only(),
+        ..CampaignCfg::default()
+    };
     let report = snowboard::baseline::run_baseline(
-        &p.booted, &p.corpus,
+        &p.booted,
+        &p.corpus,
         snowboard::baseline::Pairing::Duplicate,
-        150, 4, 3, 4, true,
+        150,
+        &cfg,
     );
     let bugs = report.bug_ids();
     assert!(bugs.contains(&13), "duplicate pairing should stumble into #13: {bugs:?}");

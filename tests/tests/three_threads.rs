@@ -8,6 +8,17 @@ use sb_vmm::Executor;
 use snowboard::multi::{shared_write_triples, test_triple};
 use snowboard::pmc::identify;
 use snowboard::profile::profile_corpus;
+use snowboard::{CampaignCfg, OracleSet};
+
+/// The trial settings of a three-thread test, with the stock oracles.
+fn triple_cfg(trials: u32, stop_on_finding: bool) -> CampaignCfg {
+    CampaignCfg {
+        trials_per_pmc: trials,
+        stop_on_finding,
+        oracles: OracleSet::race_only(),
+        ..CampaignCfg::default()
+    }
+}
 
 fn l2tp_corpus() -> Vec<Program> {
     vec![
@@ -74,12 +85,13 @@ fn three_thread_campaign_exposes_the_l2tp_panic() {
         .collect();
     assert!(!publish.is_empty());
     let mut exec = Executor::new(3);
+    let cfg = triple_cfg(32, true);
     let mut found = false;
     // Each seed re-draws the (writer, reader, reader) tests from the PMC's
     // pair lists, so sweeping seeds explores the test-selection dimension.
     'outer: for t in &publish {
         for seed in 0..12u64 {
-            let out = test_triple(&mut exec, booted, &corpus, &set, **t, 40 + seed, 32, true)
+            let out = test_triple(&mut exec, booted, &corpus, &set, **t, 40 + seed, &cfg)
                 .expect("triple test");
             if out
                 .findings
@@ -104,7 +116,7 @@ fn three_thread_execution_is_deterministic() {
     let t = triples[0];
     let run = || {
         let mut exec = Executor::new(3);
-        let out = test_triple(&mut exec, booted, &corpus, &set, t, 77, 8, false)
+        let out = test_triple(&mut exec, booted, &corpus, &set, t, 77, &triple_cfg(8, false))
             .expect("triple test");
         (out.tests, out.trials_run, out.findings.len(), out.steps)
     };
