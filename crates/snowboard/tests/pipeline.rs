@@ -120,6 +120,8 @@ fn campaign_repro_schedules_replay_their_findings() {
             ],
             &mut replay,
         );
+        // The schedule was recorded in full: the replay never ran past it.
+        assert!(!replay.diverged(), "replay of pair {:?} diverged", o.pair);
         let mut found = sb_detect::analyze(&r.report);
         found.extend(sb_detect::detect_missed_wakeups(&r.report.sync_events));
         found.extend(sb_detect::detect_sleep_in_atomic(&r.report.sync_events));
