@@ -20,6 +20,7 @@ use snowboard::cluster::Strategy;
 use snowboard::pmc::identify;
 use snowboard::profile::profile_corpus;
 use snowboard::select::ClusterOrder;
+use snowboard::{OracleCtx, OracleSet};
 
 /// Trials to expose bug #12, averaged over seeds. Each seed gets one
 /// scheduler from `for_seed`, and `begin_trial(sched, seed, trial)` resets
@@ -42,6 +43,7 @@ fn expose_12<S: Scheduler>(
         Syscall::Sendmsg { sock: Res(0), len: 1 },
     ]);
     let mut exec = Executor::new(2);
+    let mut oracles = OracleCtx::new(OracleSet::race_only());
     let mut total = 0u64;
     let mut hits = 0u64;
     for seed in 0..seeds {
@@ -57,7 +59,8 @@ fn expose_12<S: Scheduler>(
                 ],
                 &mut sched,
             );
-            if sb_detect::analyze(&r.report)
+            if oracles
+                .analyze(&r.report)
                 .iter()
                 .any(|f| snowboard::triage::triage(f) == Some(12))
             {

@@ -52,7 +52,7 @@ pub mod keys {
     pub const TRIALS: &str = "campaign.trials";
     /// Engine steps consumed by campaign trials.
     pub const TRIAL_STEPS: &str = "campaign.steps";
-    /// Boot-snapshot clones taken for trials (including repro re-records).
+    /// Boot-snapshot clones taken for trials (one per trial attempt).
     pub const SNAPSHOT_CLONES: &str = "snapshot.clones";
     /// 4 KiB pages copied out of the shared boot image by trial writes.
     pub const SNAPSHOT_PAGES_COPIED: &str = "snapshot.pages_copied";
@@ -132,8 +132,6 @@ pub mod keys {
     pub fn reported(kind: &str) -> String {
         format!("{REPORTED_PREFIX}{kind}")
     }
-    /// Three-thread trials executed.
-    pub const MULTI_TRIALS: &str = "multi.trials";
     /// Total injected faults that actually fired in this process, across
     /// every chaos plane. Must equal the sum of all `chaos.fired.<site>`
     /// counters — `trace report` verifies the balance.

@@ -11,7 +11,8 @@ use sb_vmm::rng::Rng;
 use sb_vmm::sched::RandomSched;
 use sb_vmm::Executor;
 
-use crate::campaign::{aggregate, CampaignCfg, CampaignReport, PmcTestOutcome};
+use crate::campaign::{aggregate, run_trials, CampaignCfg, CampaignReport, PmcTestOutcome};
+use crate::watchdog::{JobBudget, Watchdog};
 
 /// The two baseline pairing policies.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -42,8 +43,7 @@ pub fn run_baseline(
     cfg: &CampaignCfg,
 ) -> CampaignReport {
     assert!(!corpus.is_empty(), "baseline needs a corpus");
-    let (seed, trials, stop_on_finding) = (cfg.seed, cfg.trials_per_pmc, cfg.stop_on_finding);
-    let mut rng = Rng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(cfg.seed);
     let pairs: Vec<(u32, u32)> = (0..n_tests)
         .map(|_| {
             let a = rng.gen_range(0..corpus.len()) as u32;
@@ -59,61 +59,18 @@ pub fn run_baseline(
         cfg.workers,
         || Executor::new(2),
         |exec, (i, pair)| {
-            let test_seed = seed.wrapping_add((i as u64).wrapping_mul(0xA24B_AED4_963E_E407));
-            run_baseline_test(exec, booted, corpus, pair, test_seed, trials, stop_on_finding)
+            let seed = cfg.seed.wrapping_add((i as u64).wrapping_mul(0xA24B_AED4_963E_E407));
+            let programs = [corpus[pair.0 as usize].clone(), corpus[pair.1 as usize].clone()];
+            let sched = RandomSched::new(seed, 0.005);
+            let dog = Watchdog::start(JobBudget::unbounded());
+            let trials = run_trials(exec, booted, &programs, sched, seed, cfg, &dog, |_, _, _| false)
+                .expect("two jobs on two vCPUs with no budget cannot fail");
+            // Table 3 counts issues only; baseline outcomes carry no repro.
+            PmcTestOutcome {
+                repro_schedule: None,
+                ..trials.outcome(None, pair)
+            }
         },
     );
     aggregate(outcomes)
-}
-
-fn run_baseline_test(
-    exec: &mut Executor,
-    booted: &BootedKernel,
-    corpus: &[Program],
-    pair: (u32, u32),
-    seed: u64,
-    trials: u32,
-    stop_on_finding: bool,
-) -> PmcTestOutcome {
-    let wprog = corpus[pair.0 as usize].clone();
-    let rprog = corpus[pair.1 as usize].clone();
-    let mut out = PmcTestOutcome {
-        pmc: None,
-        pair,
-        trials_run: 0,
-        exercised: false,
-        findings: Vec::new(),
-        steps: 0,
-        first_finding_trial: None,
-        repro_schedule: None,
-        attempts: 1,
-    };
-    let mut dedup = std::collections::HashSet::new();
-    for trial in 0..trials {
-        let mut sched = RandomSched::new(seed.wrapping_add(u64::from(trial)), 0.005);
-        let r = exec.run(
-            booted.snapshot.clone(),
-            vec![
-                booted.kernel.process_job(wprog.clone()),
-                booted.kernel.process_job(rprog.clone()),
-            ],
-            &mut sched,
-        );
-        out.trials_run += 1;
-        out.steps += r.report.steps;
-        let mut found_new = false;
-        for f in sb_detect::analyze(&r.report) {
-            if dedup.insert(f.dedup_key()) {
-                out.findings.push(f);
-                found_new = true;
-            }
-        }
-        if found_new && out.first_finding_trial.is_none() {
-            out.first_finding_trial = Some(trial);
-        }
-        if found_new && stop_on_finding {
-            break;
-        }
-    }
-    out
 }

@@ -8,6 +8,12 @@
 //! execution to the bug detectors, and opportunistically adds incidental
 //! PMCs observed in the trial to the watch set (Algorithm 2 lines 26–27).
 //!
+//! That trial loop is [`run_trials`], the only one in the crate: the §6
+//! three-thread tests ([`crate::multi`]) and Table 3's pairing baselines
+//! ([`crate::baseline`]) call it with their own job lists and schedulers,
+//! under the same oracles. Every trial runs under a [`RecordingSched`], so
+//! the trial that finds a bug already holds its reproduction schedule.
+//!
 //! The driver is fault tolerant, because a campaign sized like the paper's
 //! (days of wall clock across a worker fleet) will see individual jobs
 //! fail. Per job: a [`Watchdog`] bounds steps and wall-clock time (overrun
@@ -23,7 +29,7 @@
 //! errors, and queue closure at chosen job indices to exercise all of the
 //! above deterministically.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -33,8 +39,9 @@ use sb_kernel::{BootedKernel, Program};
 use sb_queue::{panic_message, run_jobs_fallible, JobError, PoolOpts};
 use sb_vmm::access::AccessKind;
 use sb_vmm::rng::Rng;
+use sb_vmm::exec::ExecReport;
 use sb_vmm::replay::{RecordingSched, Schedule};
-use sb_vmm::sched::{Scheduler as _, SnowboardSched};
+use sb_vmm::sched::{DecisionObserver, RandomSched, Scheduler, SnowboardSched};
 use sb_vmm::site::Site;
 use sb_vmm::Executor;
 
@@ -300,12 +307,12 @@ fn find_incidental_pmc(
     trace: &[sb_vmm::Access],
     set: &PmcSet,
     index: &IncidentalIndex,
-    watched: &mut std::collections::HashSet<PmcId>,
+    watched: &mut HashSet<PmcId>,
     rng: &mut Rng,
 ) -> Option<PmcId> {
     const MAX_CANDIDATES: usize = 256;
     let mut candidates: Vec<PmcId> = Vec::new();
-    let mut seen_sites = std::collections::HashSet::new();
+    let mut seen_sites = HashSet::new();
     for a in trace.iter().filter(|a| a.kind == AccessKind::Write) {
         if !seen_sites.insert(a.site) {
             continue;
@@ -333,10 +340,162 @@ fn find_incidental_pmc(
     pick
 }
 
-/// Tests one PMC: the inner loop of Algorithm 2.
+/// A scheduler [`run_trials`] reseeds before every trial, as Algorithm 2's
+/// `random.seed(SEED + trial)`.
+pub(crate) trait TrialSched: Scheduler {
+    /// Reseeds for the trial about to run.
+    fn begin_trial(&mut self, seed: u64);
+}
+
+impl TrialSched for SnowboardSched {
+    fn begin_trial(&mut self, seed: u64) {
+        SnowboardSched::begin_trial(self, seed);
+    }
+}
+
+impl TrialSched for RandomSched {
+    fn begin_trial(&mut self, seed: u64) {
+        RandomSched::begin_trial(self, seed);
+    }
+}
+
+/// What [`run_trials`] gathered over one concurrent test's trials.
+#[derive(Default)]
+pub(crate) struct Trials {
+    pub(crate) run: u32,
+    pub(crate) steps: u64,
+    pub(crate) exercised: bool,
+    pub(crate) findings: Vec<Finding>,
+    pub(crate) first_finding: Option<u32>,
+    pub(crate) repro: Option<Schedule>,
+}
+
+impl Trials {
+    /// The outcome of a two-program test of `pair` on its first attempt.
+    pub(crate) fn outcome(self, pmc: Option<PmcId>, pair: (u32, u32)) -> PmcTestOutcome {
+        PmcTestOutcome {
+            pmc,
+            pair,
+            trials_run: self.run,
+            exercised: self.exercised,
+            findings: self.findings,
+            steps: self.steps,
+            first_finding_trial: self.first_finding,
+            repro_schedule: self.repro,
+            attempts: 1,
+        }
+    }
+}
+
+/// Corpus test `test`, or [`Error::BadTestId`].
+pub(crate) fn fetch_test(corpus: &[Program], test: u32) -> SbResult<Program> {
+    corpus.get(test as usize).cloned().ok_or(Error::BadTestId {
+        test,
+        corpus: corpus.len(),
+    })
+}
+
+/// Runs the trials of one concurrent test: Algorithm 2's inner loop,
+/// shared by PMC tests, three-thread tests and the pairing baselines,
+/// which differ only in `programs` (one job each) and `sched`.
+///
+/// Up to `cfg.trials_per_pmc` times: clone the boot snapshot, reseed
+/// `sched` with `seed + trial`, run the jobs under a [`RecordingSched`]
+/// around it, and analyze the execution with one [`OracleCtx`] for the
+/// whole test (the lock-rule miner accumulates support across trials).
+/// New findings are deduplicated into the result, and the trial with the
+/// first one hands over its recorded schedule as the repro. `after_trial`
+/// sees the scheduler and report of every trial, and whether the loop
+/// stops there (`cfg.stop_on_finding`); it answers whether the trial
+/// exercised the tested channel.
 ///
 /// The watchdog is checked between trials (the finest boundary that keeps
-/// replays deterministic); an overrun aborts the job with [`Error::Hang`].
+/// replays deterministic); an overrun aborts the test with [`Error::Hang`].
+/// With `cfg.tracer` enabled, scheduler decisions and snapshot accounting
+/// are published as counters when the test ends.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_trials<S: TrialSched>(
+    exec: &mut Executor,
+    booted: &BootedKernel,
+    programs: &[Program],
+    mut sched: S,
+    seed: u64,
+    cfg: &CampaignCfg,
+    dog: &Watchdog,
+    mut after_trial: impl FnMut(&mut S, &ExecReport, bool) -> bool,
+) -> SbResult<Trials> {
+    // Aggregate scheduler decisions in atomics; published as a handful of
+    // counter events when the test ends — never one trace line per access.
+    let decisions = Arc::new(sb_obs::CountingObserver::new());
+    if cfg.tracer.enabled() {
+        sched.set_observer(Some(decisions.clone() as Arc<dyn DecisionObserver>));
+    }
+    let mut out = Trials::default();
+    let mut dedup = HashSet::new();
+    let mut oracles = OracleCtx::new(cfg.oracles);
+    // Snapshot accounting: how many times the boot image was cloned and
+    // how many 4 KiB pages trials actually dirtied.
+    let (mut snap_clones, mut snap_pages) = (0u64, 0u64);
+    let publish = |clones: u64, pages: u64| {
+        decisions.publish(&cfg.tracer);
+        cfg.tracer.count(sb_obs::keys::SNAPSHOT_CLONES, clones);
+        cfg.tracer.count(sb_obs::keys::SNAPSHOT_PAGES_COPIED, pages);
+    };
+    for trial in 0..cfg.trials_per_pmc {
+        if let Some(overrun) = dog.check(out.steps) {
+            publish(snap_clones, snap_pages);
+            return Err(Error::Hang {
+                steps: overrun.steps,
+                elapsed: overrun.elapsed,
+                trials_run: out.run,
+                tripped: overrun.reason.tag(),
+            });
+        }
+        sched.begin_trial(seed.wrapping_add(u64::from(trial)));
+        // The copy-on-write clone is an Arc bump; the deep variant keeps
+        // the historical full-image copy for benchmarks and tests.
+        snap_clones += 1;
+        let mem = if cfg.deep_snapshots {
+            booted.snapshot.deep_clone()
+        } else {
+            booted.snapshot.clone()
+        };
+        let jobs = programs
+            .iter()
+            .map(|p| booted.kernel.process_job(p.clone()))
+            .collect();
+        let mut recorder = RecordingSched::new(&mut sched);
+        let r = exec.try_run(mem, jobs, &mut recorder)?;
+        let (schedule, _) = recorder.finish();
+        snap_pages += r.mem.dirty_pages();
+        out.run += 1;
+        out.steps += r.report.steps;
+        let mut found_new = false;
+        for f in oracles.analyze_traced(&r.report, &cfg.tracer) {
+            if dedup.insert(f.dedup_key()) {
+                out.findings.push(f);
+                found_new = true;
+            }
+        }
+        if found_new && out.first_finding.is_none() {
+            out.first_finding = Some(trial);
+            out.repro = Some(schedule);
+        }
+        let stop = found_new && cfg.stop_on_finding;
+        out.exercised |= after_trial(&mut sched, &r.report, stop);
+        if stop {
+            break;
+        }
+    }
+    publish(snap_clones, snap_pages);
+    Ok(out)
+}
+
+/// Tests one PMC: picks one of its test pairs and runs [`run_trials`]
+/// under [`SnowboardSched`] with the PMC as the scheduling hint. After
+/// each trial it checks whether the predicted channel was exercised and,
+/// unless the test stops there, adds an incidental PMC the trial revealed
+/// to the watch set (Algorithm 2 lines 26–27).
 #[allow(clippy::too_many_arguments)]
 pub fn test_one_pmc(
     exec: &mut Executor,
@@ -354,132 +513,20 @@ pub fn test_one_pmc(
     let pair = *rng
         .choose(&pmc.pairs)
         .ok_or(Error::EmptyPmc { pmc: id })?;
-    let fetch = |test: u32| -> SbResult<Program> {
-        corpus
-            .get(test as usize)
-            .cloned()
-            .ok_or(Error::BadTestId {
-                test,
-                corpus: corpus.len(),
-            })
-    };
-    let wprog = fetch(pair.0)?;
-    let rprog = fetch(pair.1)?;
-    let mut sched = SnowboardSched::new(seed, pmc.hints());
-    // Aggregate scheduler decisions in atomics; published as a handful of
-    // counter events when the job ends — never one trace line per access.
-    let decisions = Arc::new(sb_obs::CountingObserver::new());
-    if cfg.tracer.enabled() {
-        sched.set_observer(Some(decisions.clone() as Arc<dyn sb_vmm::sched::DecisionObserver>));
-    }
-    let mut watched: std::collections::HashSet<PmcId> = [id].into_iter().collect();
-    let mut out = PmcTestOutcome {
-        pmc: Some(id),
-        pair,
-        trials_run: 0,
-        exercised: false,
-        findings: Vec::new(),
-        steps: 0,
-        first_finding_trial: None,
-        repro_schedule: None,
-        attempts: 1,
-    };
-    let mut dedup = std::collections::HashSet::new();
-    // Per-job oracle state: the lock-rule miner accumulates support across
-    // this job's trials, so rules mined from early trials can flag
-    // violations in later ones.
-    let mut oracle_ctx = OracleCtx::new(cfg.oracles);
-    // Snapshot accounting for this job: how many times the boot image was
-    // cloned and how many 4 KiB pages trials actually dirtied. Published as
-    // `snapshot.*` counters alongside the scheduler decisions.
-    let mut snap_clones = 0u64;
-    let mut snap_pages = 0u64;
-    // Per-trial snapshot: the copy-on-write clone is an Arc bump; the deep
-    // variant reproduces the historical full-image copy for benchmarks/tests.
-    let take_snapshot = |clones: &mut u64| {
-        *clones += 1;
-        if cfg.deep_snapshots {
-            booted.snapshot.deep_clone()
-        } else {
-            booted.snapshot.clone()
-        }
-    };
-    for trial in 0..cfg.trials_per_pmc {
-        if let Some(overrun) = dog.check(out.steps) {
-            decisions.publish(&cfg.tracer);
-            publish_snapshot_counters(&cfg.tracer, snap_clones, snap_pages);
-            return Err(Error::Hang {
-                steps: overrun.steps,
-                elapsed: overrun.elapsed,
-                trials_run: out.trials_run,
-                tripped: overrun.reason.tag(),
-            });
-        }
-        // Checkpoint the scheduler (flags included) so a finding trial can
-        // be re-run under a recorder for deterministic reproduction.
-        let sched_checkpoint = sched.clone();
-        sched.begin_trial(seed.wrapping_add(u64::from(trial)));
-        let r = exec.try_run(
-            take_snapshot(&mut snap_clones),
-            vec![
-                booted.kernel.process_job(wprog.clone()),
-                booted.kernel.process_job(rprog.clone()),
-            ],
-            &mut sched,
-        )?;
-        snap_pages += r.mem.dirty_pages();
-        out.trials_run += 1;
-        out.steps += r.report.steps;
-        out.exercised |= channel_exercised(&r.report.trace, pmc);
-        let findings = oracle_ctx.analyze_traced(&r.report, &cfg.tracer);
-        let mut found_new = false;
-        for f in findings {
-            if dedup.insert(f.dedup_key()) {
-                out.findings.push(f);
-                found_new = true;
-            }
-        }
-        if found_new && out.first_finding_trial.is_none() {
-            out.first_finding_trial = Some(trial);
-            // Re-run this exact trial from the checkpoint under a recorder
-            // to capture a portable reproduction schedule (§6). The replica
-            // must not report decisions — the trial already counted them.
-            let mut replica = sched_checkpoint;
-            replica.set_observer(None);
-            replica.begin_trial(seed.wrapping_add(u64::from(trial)));
-            let mut recorder = RecordingSched::new(replica);
-            let rerun = exec.try_run(
-                take_snapshot(&mut snap_clones),
-                vec![
-                    booted.kernel.process_job(wprog.clone()),
-                    booted.kernel.process_job(rprog.clone()),
-                ],
-                &mut recorder,
-            )?;
-            snap_pages += rerun.mem.dirty_pages();
-            let (schedule, _) = recorder.finish();
-            out.repro_schedule = Some(schedule);
-        }
-        if found_new && cfg.stop_on_finding {
-            break;
-        }
-        if cfg.incidental {
+    let programs = [fetch_test(corpus, pair.0)?, fetch_test(corpus, pair.1)?];
+    let sched = SnowboardSched::new(seed, pmc.hints());
+    let mut watched: HashSet<PmcId> = [id].into_iter().collect();
+    let trials = run_trials(exec, booted, &programs, sched, seed, cfg, dog, |sched, report, stop| {
+        if cfg.incidental && !stop {
             if let Some(new_id) =
-                find_incidental_pmc(&r.report.trace, set, index, &mut watched, &mut rng)
+                find_incidental_pmc(&report.trace, set, index, &mut watched, &mut rng)
             {
                 sched.add_pmc(set.get(new_id).hints());
             }
         }
-    }
-    decisions.publish(&cfg.tracer);
-    publish_snapshot_counters(&cfg.tracer, snap_clones, snap_pages);
-    Ok(out)
-}
-
-/// Emits the per-job snapshot accounting as `snapshot.*` counters.
-fn publish_snapshot_counters(tracer: &sb_obs::Tracer, clones: u64, pages: u64) {
-    tracer.count(sb_obs::keys::SNAPSHOT_CLONES, clones);
-    tracer.count(sb_obs::keys::SNAPSHOT_PAGES_COPIED, pages);
+        channel_exercised(&report.trace, pmc)
+    })?;
+    Ok(trials.outcome(Some(id), pair))
 }
 
 /// What one campaign job resolved to after all retry attempts.
@@ -781,7 +828,7 @@ pub fn run_campaign(
 /// baselines).
 pub fn aggregate(outcomes: Vec<PmcTestOutcome>) -> CampaignReport {
     let mut report = CampaignReport::default();
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = HashSet::new();
     let mut cumulative_steps = 0u64;
     for (i, o) in outcomes.iter().enumerate() {
         cumulative_steps += o.steps;

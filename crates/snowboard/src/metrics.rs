@@ -5,7 +5,7 @@ use sb_kernel::{BootedKernel, Program};
 use sb_vmm::sched::{RandomSched, Scheduler, SkiSched, SnowboardSched};
 use sb_vmm::Executor;
 
-use sb_detect::Finding;
+use sb_detect::{Finding, OracleCtx, OracleSet};
 
 use crate::pmc::{Pmc, PmcSet};
 
@@ -372,6 +372,9 @@ pub fn interleavings_to_expose(
     let hints = pmc.hints();
     let mut snowboard = SnowboardSched::new(seed, hints);
     let mut ski = SkiSched::new(seed, hints.iter().map(|h| h.site));
+    // The stock oracles keep no state between executions, so one context
+    // serves every trial.
+    let mut oracles = OracleCtx::new(OracleSet::race_only());
     let mut steps = 0u64;
     for trial in 0..max_trials {
         let trial_seed = seed.wrapping_add(u64::from(trial));
@@ -399,7 +402,7 @@ pub fn interleavings_to_expose(
             sched,
         );
         steps += r.report.steps;
-        let findings = sb_detect::analyze(&r.report);
+        let findings = oracles.analyze(&r.report);
         if hit(&findings) {
             return Some(ExposeResult {
                 interleavings: trial + 1,

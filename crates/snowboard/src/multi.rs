@@ -21,9 +21,10 @@ use sb_vmm::rng::Rng;
 use sb_vmm::sched::SnowboardSched;
 use sb_vmm::Executor;
 
-use crate::campaign::CampaignCfg;
+use crate::campaign::{fetch_test, run_trials, CampaignCfg};
 use crate::error::{Error, SbResult};
 use crate::pmc::{PmcId, PmcSet};
+use crate::watchdog::{JobBudget, Watchdog};
 
 /// Two PMCs sharing a write side: one shared write, two reads.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -81,7 +82,7 @@ pub struct TripleOutcome {
 
 /// Executes one writer + two readers under Algorithm 2 with the union of
 /// both PMCs' hints. Trials, stop-on-finding, oracles and tracer come from
-/// `cfg`.
+/// `cfg`. The executor needs three vCPUs ([`Error::Exec`] otherwise).
 pub fn test_triple(
     exec: &mut Executor,
     booted: &BootedKernel,
@@ -91,33 +92,6 @@ pub fn test_triple(
     seed: u64,
     cfg: &CampaignCfg,
 ) -> SbResult<TripleOutcome> {
-    test_triple_traced(
-        exec,
-        booted,
-        corpus,
-        set,
-        triple,
-        seed,
-        cfg.trials_per_pmc,
-        cfg.stop_on_finding,
-        &cfg.tracer,
-    )
-}
-
-/// [`test_triple`], counting executed trials as `multi.trials` on `tracer`.
-#[allow(clippy::too_many_arguments)]
-pub fn test_triple_traced(
-    exec: &mut Executor,
-    booted: &BootedKernel,
-    corpus: &[Program],
-    set: &PmcSet,
-    triple: TriplePmc,
-    seed: u64,
-    trials: u32,
-    stop_on_finding: bool,
-    tracer: &sb_obs::Tracer,
-) -> SbResult<TripleOutcome> {
-    assert!(exec.vcpus() >= 3, "three-thread testing needs >=3 vCPUs");
     let pa = set.get(triple.a);
     let pb = set.get(triple.b);
     let mut rng = Rng::seed_from_u64(seed);
@@ -127,54 +101,22 @@ pub fn test_triple_traced(
     let (_w2, r2) = *rng
         .choose(&pb.pairs)
         .ok_or(Error::EmptyPmc { pmc: triple.b })?;
-    let fetch = |test: u32| -> SbResult<Program> {
-        corpus.get(test as usize).cloned().ok_or(Error::BadTestId {
-            test,
-            corpus: corpus.len(),
-        })
-    };
-    let writer = fetch(w1)?;
-    let reader1 = fetch(r1)?;
-    let reader2 = fetch(r2)?;
-    let mut sched = SnowboardSched::new(seed, pa.hints().into_iter().chain(pb.hints()));
-    let mut out = TripleOutcome {
+    let programs = [
+        fetch_test(corpus, w1)?,
+        fetch_test(corpus, r1)?,
+        fetch_test(corpus, r2)?,
+    ];
+    let sched = SnowboardSched::new(seed, pa.hints().into_iter().chain(pb.hints()));
+    let dog = Watchdog::start(JobBudget::unbounded());
+    let t = run_trials(exec, booted, &programs, sched, seed, cfg, &dog, |_, _, _| false)?;
+    Ok(TripleOutcome {
         triple,
         tests: (w1, r1, r2),
-        trials_run: 0,
-        findings: Vec::new(),
-        first_finding_trial: None,
-        steps: 0,
-    };
-    let mut dedup = std::collections::HashSet::new();
-    for trial in 0..trials {
-        sched.begin_trial(seed.wrapping_add(u64::from(trial)));
-        let r = exec.try_run(
-            booted.snapshot.clone(),
-            vec![
-                booted.kernel.process_job(writer.clone()),
-                booted.kernel.process_job(reader1.clone()),
-                booted.kernel.process_job(reader2.clone()),
-            ],
-            &mut sched,
-        )?;
-        out.trials_run += 1;
-        out.steps += r.report.steps;
-        let mut found_new = false;
-        for f in sb_detect::analyze_traced(&r.report, tracer) {
-            if dedup.insert(f.dedup_key()) {
-                out.findings.push(f);
-                found_new = true;
-            }
-        }
-        if found_new && out.first_finding_trial.is_none() {
-            out.first_finding_trial = Some(trial);
-        }
-        if found_new && stop_on_finding {
-            break;
-        }
-    }
-    tracer.count(sb_obs::keys::MULTI_TRIALS, u64::from(out.trials_run));
-    Ok(out)
+        trials_run: t.run,
+        findings: t.findings,
+        first_finding_trial: t.first_finding,
+        steps: t.steps,
+    })
 }
 
 #[cfg(test)]

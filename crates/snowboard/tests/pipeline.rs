@@ -3,7 +3,7 @@
 
 use snowboard::cluster::Strategy;
 use snowboard::select::ClusterOrder;
-use snowboard::{CampaignCfg, Pipeline, PipelineCfg};
+use snowboard::{CampaignCfg, OracleCtx, OracleSet, Pipeline, PipelineCfg};
 
 use sb_kernel::KernelConfig;
 
@@ -122,9 +122,11 @@ fn campaign_repro_schedules_replay_their_findings() {
         );
         // The schedule was recorded in full: the replay never ran past it.
         assert!(!replay.diverged(), "replay of pair {:?} diverged", o.pair);
-        let mut found = sb_detect::analyze(&r.report);
-        found.extend(sb_detect::detect_missed_wakeups(&r.report.sync_events));
-        found.extend(sb_detect::detect_sleep_in_atomic(&r.report.sync_events));
+        let per_execution = OracleSet {
+            lockrule: false,
+            ..OracleSet::all()
+        };
+        let found = OracleCtx::new(per_execution).analyze(&r.report);
         let keys: std::collections::HashSet<String> =
             found.iter().map(|f| f.dedup_key()).collect();
         for f in &o.findings {

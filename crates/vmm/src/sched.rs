@@ -137,6 +137,27 @@ pub trait Scheduler: Send {
     }
 }
 
+/// A borrowed scheduler schedules like its owner, so wrappers such as
+/// [`crate::replay::RecordingSched`] can record a trial without taking the
+/// scheduler (and its learned state) away from the caller.
+impl<S: Scheduler + ?Sized> Scheduler for &mut S {
+    fn after_access(&mut self, t: usize, access: &Access) -> bool {
+        (**self).after_access(t, access)
+    }
+
+    fn pick(&mut self, prev: usize, candidates: &[usize]) -> usize {
+        (**self).pick(prev, candidates)
+    }
+
+    fn on_forced_switch(&mut self, t: usize) {
+        (**self).on_forced_switch(t);
+    }
+
+    fn set_observer(&mut self, observer: Option<Arc<dyn DecisionObserver>>) {
+        (**self).set_observer(observer);
+    }
+}
+
 /// Runs each thread to completion without voluntary preemption.
 #[derive(Default)]
 pub struct FreeRun;
@@ -162,6 +183,12 @@ impl RandomSched {
             p,
             observer: None,
         }
+    }
+
+    /// Reseeds the randomness for a new trial: the same stream as
+    /// `RandomSched::new(seed, p)`. Keeps the installed observer.
+    pub fn begin_trial(&mut self, seed: u64) {
+        self.rng = Rng::seed_from_u64(seed);
     }
 }
 
@@ -350,9 +377,11 @@ impl Scheduler for PctSched {
 ///
 /// `flags` persist across the trials of one concurrent test; the randomness
 /// is reseeded per trial exactly as Algorithm 2's
-/// `random.seed(SEED + trial)`. The scheduler is `Clone` so campaign code
-/// can checkpoint its state before a trial and re-run that exact trial
-/// under a recorder (see `replay`).
+/// `random.seed(SEED + trial)`. The campaign records each trial by
+/// wrapping a borrowed scheduler in a
+/// [`RecordingSched`](crate::replay::RecordingSched), so the trial that
+/// finds a bug already holds its repro schedule. `Clone` lets harnesses
+/// checkpoint the state (learned `flags` included) and re-run a trial.
 #[derive(Clone)]
 pub struct SnowboardSched {
     pmcs: Vec<HintAccess>,

@@ -8,6 +8,7 @@ use std::thread::ThreadId;
 use sb_vmm::ctx::KResult;
 use sb_vmm::exec::{ExecLimits, Executor, Outcome};
 use sb_vmm::mem::GuestMem;
+use sb_vmm::replay::RecordingSched;
 use sb_vmm::sched::{FreeRun, RandomSched, Scheduler};
 use sb_vmm::{site, AccessKind, Ctx, Fault};
 
@@ -561,4 +562,48 @@ fn single_job_runs_on_the_callers_thread() {
     for (tid, thread) in seen.iter() {
         assert_eq!(*tid == 0, *thread == caller, "vCPU {tid} ran on the wrong thread");
     }
+}
+
+/// Two jobs doing unlocked read-modify-writes of one cell.
+fn racing_jobs(cell: u64) -> Vec<BoxedJob> {
+    let job = move |name: &'static str| -> BoxedJob {
+        Box::new(move |ctx: &Ctx| {
+            for i in 0..30 {
+                let v = ctx.read_u64(site!(name), cell)?;
+                ctx.write_u64(site!(name), cell, v + i)?;
+            }
+            Ok(())
+        })
+    };
+    vec![job("rec:a"), job("rec:b")]
+}
+
+#[test]
+fn random_begin_trial_is_a_fresh_scheduler() {
+    let (mem, cell) = mem_with_cell();
+    let mut exec = Executor::new(2);
+    let mut reseeded = RandomSched::new(1, 0.3);
+    exec.run(mem.clone(), racing_jobs(cell), &mut reseeded);
+    reseeded.begin_trial(42);
+    let a = exec.run(mem.clone(), racing_jobs(cell), &mut reseeded);
+    let b = exec.run(mem, racing_jobs(cell), &mut RandomSched::new(42, 0.3));
+    assert_eq!(a.report.trace, b.report.trace);
+}
+
+#[test]
+fn recording_a_borrowed_scheduler_matches_recording_an_owned_one() {
+    let (mem, cell) = mem_with_cell();
+    let mut exec = Executor::new(2);
+    let mut owned = RecordingSched::new(RandomSched::new(4, 0.3));
+    exec.run(mem.clone(), racing_jobs(cell), &mut owned);
+    let mut sched = RandomSched::new(4, 0.3);
+    let mut borrowed = RecordingSched::new(&mut sched);
+    exec.run(mem, racing_jobs(cell), &mut borrowed);
+    assert!(!owned.schedule().is_empty());
+    assert_eq!(borrowed.finish().0, *owned.schedule());
+    // The caller keeps the advanced scheduler: it continues exactly where
+    // the owned recording's inner scheduler does.
+    let (_, mut inner) = owned.finish();
+    let picks = |s: &mut RandomSched| (0..16).map(|_| s.pick(0, &[0, 1, 2])).collect::<Vec<_>>();
+    assert_eq!(picks(&mut sched), picks(&mut inner));
 }

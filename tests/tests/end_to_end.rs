@@ -10,6 +10,7 @@ use sb_vmm::Executor;
 use snowboard::campaign::{channel_exercised, IncidentalIndex};
 use snowboard::pmc::identify;
 use snowboard::profile::profile_corpus;
+use snowboard::{OracleCtx, OracleSet};
 
 #[test]
 fn figure1_pmc_predicted_and_exercised() {
@@ -171,7 +172,7 @@ fn detectors_stay_quiet_on_sequential_executions() {
             vec![booted.kernel.process_job(prog.clone())],
             &mut sb_vmm::sched::FreeRun,
         );
-        let findings = sb_detect::analyze(&r.report);
+        let findings = OracleCtx::new(OracleSet::race_only()).analyze(&r.report);
         assert!(
             findings.is_empty(),
             "sequential run of {prog} produced {findings:?}"

@@ -71,6 +71,10 @@ fn traced_hunt_reconstructs_to_report_totals() {
         tr.counter(sb_obs::keys::SCHED_HINT_HITS) + tr.counter(sb_obs::keys::SCHED_VOLUNTARY) > 0,
         "no scheduler decisions recorded"
     );
+    // The finding trial records its own repro schedule, so a fault-free
+    // run clones the boot snapshot exactly once per trial.
+    assert!(report.outcomes.iter().any(|o| o.repro_schedule.is_some()));
+    assert_eq!(tr.counter(sb_obs::keys::SNAPSHOT_CLONES), report.executions);
     // The rendered report ends in the verification verdict.
     assert!(tr.render().contains("verification: OK"));
 }
