@@ -80,11 +80,11 @@ impl Scale {
     }
 
     /// The configuration the Random/Duplicate pairing baselines run with:
-    /// [`Scale::campaign_cfg`] at a quarter of the trials per test.
+    /// [`Scale::campaign_cfg`] (so the same oracles as the strategy rows)
+    /// at a quarter of the trials per test.
     pub fn baseline_cfg(&self, seed: u64) -> CampaignCfg {
         CampaignCfg {
             trials_per_pmc: self.trials / 4,
-            oracles: snowboard::OracleSet::race_only(),
             ..self.campaign_cfg(seed)
         }
     }

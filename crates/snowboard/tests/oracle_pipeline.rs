@@ -105,3 +105,34 @@ fn race_only_oracles_reproduce_the_stock_findings_exactly() {
     );
     assert_eq!(race.executions, all.executions, "oracle selection changed the trial plan");
 }
+
+#[test]
+fn pairing_baselines_run_the_selected_oracles() {
+    // Baselines share the campaign's trial loop, so under `all` they are
+    // judged by the sync oracles too, and under `race` by the stock set
+    // alone. Random pairing over the extended catalog meets lock rules.
+    use snowboard::baseline::{run_baseline, Pairing};
+    const SYNC_KINDS: [&str; 4] = ["lockrule", "lockorder", "wakeup", "sleepatomic"];
+    let p = Pipeline::prepare(KernelConfig::v5_12_rc3(), extended_cfg());
+    let cfg = CampaignCfg {
+        seed: 5,
+        trials_per_pmc: 8,
+        workers: 4,
+        stop_on_finding: false,
+        oracles: OracleSet::all(),
+        ..CampaignCfg::default()
+    };
+    let sync = |oracles| {
+        let report = run_baseline(
+            &p.booted,
+            &p.corpus,
+            Pairing::Random,
+            80,
+            &CampaignCfg { oracles, ..cfg.clone() },
+        );
+        let counts = report.finding_counts();
+        SYNC_KINDS.iter().filter_map(|k| counts.get(k)).sum::<u64>()
+    };
+    assert!(sync(OracleSet::all()) > 0, "no sync-oracle finding under `all`");
+    assert_eq!(sync(OracleSet::race_only()), 0);
+}
