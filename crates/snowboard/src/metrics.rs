@@ -372,13 +372,13 @@ pub fn interleavings_to_expose(
     let hints = pmc.hints();
     let mut snowboard = SnowboardSched::new(seed, hints);
     let mut ski = SkiSched::new(seed, hints.iter().map(|h| h.site));
+    let mut random = RandomSched::new(seed, 0.005);
     // The stock oracles keep no state between executions, so one context
     // serves every trial.
     let mut oracles = OracleCtx::new(OracleSet::race_only());
     let mut steps = 0u64;
     for trial in 0..max_trials {
         let trial_seed = seed.wrapping_add(u64::from(trial));
-        let mut random;
         let sched: &mut dyn Scheduler = match kind {
             SchedKind::Snowboard => {
                 snowboard.begin_trial(trial_seed);
@@ -389,7 +389,7 @@ pub fn interleavings_to_expose(
                 &mut ski
             }
             SchedKind::Random => {
-                random = RandomSched::new(trial_seed, 0.005);
+                random.begin_trial(trial_seed);
                 &mut random
             }
         };
@@ -452,9 +452,9 @@ pub fn measure_throughput(
     let hints = set_hints.hints();
     let mut snowboard = SnowboardSched::new(seed, hints);
     let mut ski = SkiSched::new(seed, hints.iter().map(|h| h.site));
+    let mut random = RandomSched::new(seed, 0.005);
     for trial in 0..n {
         let trial_seed = seed.wrapping_add(u64::from(trial));
-        let mut random;
         let sched: &mut dyn Scheduler = match kind {
             SchedKind::Snowboard => {
                 snowboard.begin_trial(trial_seed);
@@ -465,7 +465,7 @@ pub fn measure_throughput(
                 &mut ski
             }
             SchedKind::Random => {
-                random = RandomSched::new(trial_seed, 0.005);
+                random.begin_trial(trial_seed);
                 &mut random
             }
         };
