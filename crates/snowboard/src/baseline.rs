@@ -63,13 +63,9 @@ pub fn run_baseline(
             let programs = [corpus[pair.0 as usize].clone(), corpus[pair.1 as usize].clone()];
             let sched = RandomSched::new(seed, 0.005);
             let dog = Watchdog::start(JobBudget::unbounded());
-            let trials = run_trials(exec, booted, &programs, sched, seed, cfg, &dog, |_, _, _| false)
-                .expect("two jobs on two vCPUs with no budget cannot fail");
-            // Table 3 counts issues only; baseline outcomes carry no repro.
-            PmcTestOutcome {
-                repro_schedule: None,
-                ..trials.outcome(None, pair)
-            }
+            run_trials(exec, booted, &programs, sched, seed, cfg, &dog, |_, _, _| false)
+                .expect("two jobs on two vCPUs with no budget cannot fail")
+                .outcome(None, pair)
         },
     );
     aggregate(outcomes)

@@ -41,10 +41,10 @@ fn race_matches_pmc(race: &RaceReport, pmc: &Pmc) -> bool {
     (a == pmc.key.w.ins && b == pmc.key.r.ins) || (a == pmc.key.r.ins && b == pmc.key.w.ins)
 }
 
-/// Diagnoses every finding `oracles` report for one execution against the
-/// PMC universe.
-pub fn diagnose(report: &ExecReport, set: &PmcSet, oracles: OracleSet) -> Vec<Diagnosis> {
-    let findings = OracleCtx::new(oracles).analyze(report);
+/// Diagnoses every finding of the stock race oracles for one execution
+/// against the PMC universe.
+pub fn diagnose(report: &ExecReport, set: &PmcSet) -> Vec<Diagnosis> {
+    let findings = OracleCtx::new(OracleSet::race_only()).analyze(report);
     let races = sb_detect::detect_races(&report.trace);
     findings
         .into_iter()
@@ -212,7 +212,7 @@ mod tests {
                 &mut sched,
             );
             if r.report.outcome.is_panic() {
-                let diags = diagnose(&r.report, &set, OracleSet::race_only());
+                let diags = diagnose(&r.report, &set);
                 let panic_diag = diags
                     .iter()
                     .find(|d| matches!(d.finding, Finding::KernelPanic { .. }))

@@ -157,8 +157,8 @@ const GOLDEN: &[(&str, usize, u64)] = &[
     ("5.12-rc3/pmc/all/plain/all-trials", 16, 0x5665d42c1e08a6c9),
     ("5.12-rc3/pmc/all/incidental/stop/deep", 16, 0x7a756d8c6810cb7e),
     ("5.12-rc3/pmc/race/incidental/all-trials/deep", 16, 0xa004a1eec1f27fef),
-    ("5.12-rc3/baseline/Random pairing", 1, 0x8ff95b1f20b6a2f1),
-    ("5.12-rc3/baseline/Duplicate pairing", 1, 0x60c0609cde210364),
+    ("5.12-rc3/baseline/Random pairing", 1, 0x180fb7fccf9668d0),
+    ("5.12-rc3/baseline/Duplicate pairing", 1, 0x8c3f5ac404d830b2),
     ("5.12-rc3/triple/stop=true", 8, 0x4a903fedd9270c8d),
     ("5.12-rc3/triple/stop=false", 8, 0x57eba9406ef83e9d),
     ("5.3.10/pmc/race/incidental/stop", 16, 0x843678c882dc9cb2),
@@ -168,7 +168,7 @@ const GOLDEN: &[(&str, usize, u64)] = &[
     ("5.3.10/pmc/all/incidental/stop/deep", 16, 0x83057b809e519b08),
     ("5.3.10/pmc/race/incidental/all-trials/deep", 16, 0x85ff9df4fb148551),
     ("5.3.10/baseline/Random pairing", 1, 0x0312bf7447168195),
-    ("5.3.10/baseline/Duplicate pairing", 1, 0x1faed15d347c7c8a),
+    ("5.3.10/baseline/Duplicate pairing", 1, 0x09ffef6b3566b9d0),
     ("5.3.10/triple/stop=true", 8, 0xa1e159b8bb5ee10c),
     ("5.3.10/triple/stop=false", 8, 0x5fcc401af1e190ea),
 ];

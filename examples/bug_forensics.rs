@@ -9,7 +9,7 @@
 
 use snowboard::cluster::Strategy;
 use snowboard::select::ClusterOrder;
-use snowboard::{CampaignCfg, OracleSet, Pipeline, PipelineCfg};
+use snowboard::{CampaignCfg, Pipeline, PipelineCfg};
 
 use sb_kernel::KernelConfig;
 use sb_vmm::replay::ReplaySched;
@@ -72,7 +72,7 @@ fn main() {
             &mut replay,
         );
         assert!(!replay.diverged(), "replay must be exact");
-        for d in snowboard::diagnose::diagnose(&r.report, &p.pmcs, OracleSet::race_only()) {
+        for d in snowboard::diagnose::diagnose(&r.report, &p.pmcs) {
             print!("{}", d.rendered);
         }
         println!();
